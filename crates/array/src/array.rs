@@ -318,8 +318,11 @@ impl<D: BlockDev + 'static> S4Array<D> {
         // Persist the initial epoch on every shard-0 member before the
         // array serves anything.
         let ctx = RequestContext::admin(ClientId(0), config.admin_token);
+        let at = clock.now();
         for member in &groups[0] {
-            member.op_pcreate(&ctx, &epoch.note_name(), PARTITION_OBJECT)?;
+            member.with_stamp_time(at, || {
+                member.op_pcreate(&ctx, &epoch.note_name(), PARTITION_OBJECT)
+            })?;
             member.force_anchor()?;
         }
         Ok(Self::spawn(groups, epoch, array, clock))
@@ -404,6 +407,10 @@ impl<D: BlockDev + 'static> S4Array<D> {
         // flip's per-member note installs): everyone gets the winning
         // note, stale notes are dropped. Skipped entirely when the
         // members agree, so a healthy remount performs no writes here.
+        // Every member writes below at one instant, so mirrors stay
+        // identical (see `S4Drive::with_stamp_time`); mounting advanced
+        // the shared clock past every recovered stamp.
+        let at = clock.now();
         if repair {
             let winner = epoch.note_name();
             for member in &groups[0] {
@@ -411,12 +418,14 @@ impl<D: BlockDev + 'static> S4Array<D> {
                 let listed = member.op_plist(&admin, None)?;
                 for (name, _) in &listed {
                     if name.starts_with(EPOCH_NOTE_PREFIX) && *name != winner {
-                        member.op_pdelete(&admin, name)?;
+                        member.with_stamp_time(at, || member.op_pdelete(&admin, name))?;
                         dirty = true;
                     }
                 }
                 if !listed.iter().any(|(n, _)| *n == winner) {
-                    member.op_pcreate(&admin, &winner, PARTITION_OBJECT)?;
+                    member.with_stamp_time(at, || {
+                        member.op_pcreate(&admin, &winner, PARTITION_OBJECT)
+                    })?;
                     dirty = true;
                 }
                 if dirty {
@@ -466,7 +475,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
             }
             for g in &groups {
                 for m in g {
-                    m.txn_decide(txid, commit)?;
+                    m.with_stamp_time(at, || m.txn_decide(txid, commit))?;
                 }
             }
         }
@@ -477,7 +486,7 @@ impl<D: BlockDev + 'static> S4Array<D> {
             let mut dirty = false;
             for (name, _) in member.op_plist(&admin, None)? {
                 if parse_note(&name).is_some() {
-                    member.op_pdelete(&admin, &name)?;
+                    member.with_stamp_time(at, || member.op_pdelete(&admin, &name))?;
                     dirty = true;
                 }
             }
@@ -1223,6 +1232,7 @@ fn spawn_shard<D: BlockDev + 'static>(
                     } => {
                         let _ = reply.send(worker_note(
                             &worker_members,
+                            &clock,
                             create.as_deref(),
                             remove.as_deref(),
                             trace,
@@ -1249,8 +1259,14 @@ fn spawn_shard<D: BlockDev + 'static>(
                         commit,
                         reply,
                     } => {
-                        let _ = reply
-                            .send(worker_decide(slot, &worker_members, &ctx, txid, commit));
+                        let _ = reply.send(worker_decide(
+                            slot,
+                            &worker_members,
+                            &clock,
+                            &ctx,
+                            txid,
+                            commit,
+                        ));
                     }
                 }
             }
@@ -1272,32 +1288,37 @@ fn spawn_shard<D: BlockDev + 'static>(
 /// the transaction).
 fn worker_note<D: BlockDev>(
     members: &[Arc<MemberSlot<D>>],
+    clock: &SimClock,
     create: Option<&str>,
     remove: Option<&str>,
     trace: TraceCtx,
 ) -> s4_core::Result<()> {
+    let at = clock.now();
     for m in members {
         if m.state() == MemberState::Dead {
             continue;
         }
         let drive = m.drive();
         let admin = RequestContext::admin(ClientId(0), drive.config().admin_token);
-        if let Some(new) = create {
-            match drive.op_pcreate(&admin, new, PARTITION_OBJECT) {
-                Ok(_) | Err(S4Error::PartitionExists) => {}
-                Err(e) => return Err(e),
+        drive.with_stamp_time(at, || -> s4_core::Result<()> {
+            if let Some(new) = create {
+                match drive.op_pcreate(&admin, new, PARTITION_OBJECT) {
+                    Ok(_) | Err(S4Error::PartitionExists) => {}
+                    Err(e) => return Err(e),
+                }
             }
-        }
-        if let Some(old) = remove {
-            match drive.op_pdelete(&admin, old) {
-                Ok(_) | Err(S4Error::NoSuchPartition) => {}
-                Err(e) => return Err(e),
+            if let Some(old) = remove {
+                match drive.op_pdelete(&admin, old) {
+                    Ok(_) | Err(S4Error::NoSuchPartition) => {}
+                    Err(e) => return Err(e),
+                }
             }
-        }
-        // A journal flush is the durability barrier — recovery replays
-        // the journal, so the note survives a crash without paying for
-        // a full anchor (checkpoint promotion) in the caller's window.
-        drive.op_sync(&admin)?;
+            // A journal flush is the durability barrier — recovery
+            // replays the journal, so the note survives a crash without
+            // paying for a full anchor (checkpoint promotion) in the
+            // caller's window.
+            drive.op_sync(&admin)
+        })?;
         // A traced note (a 2PC decision install) leaves a span on the
         // member's trace stream *after* its durability barrier — the
         // record's presence means the commit point really passed here.
@@ -1361,9 +1382,10 @@ fn worker_txn_step<D: BlockDev, T>(
 }
 
 /// Phase 1 on this shard: execute the sub-batch transactionally on
-/// every in-sync member. One pinned `t0` for all members — the shared
-/// clock is advanced past it exactly once — so mirrors re-execute the
-/// sub-batch with identical version stamps and stay byte-identical.
+/// every in-sync member. One `t0` for all members — the shared clock is
+/// advanced past it exactly once — and every member stamps the
+/// sub-batch at one instant after it, so mirrors record identical
+/// versions and stay byte-identical.
 fn worker_prepare<D: BlockDev>(
     shard: usize,
     members: &[Arc<MemberSlot<D>>],
@@ -1374,6 +1396,7 @@ fn worker_prepare<D: BlockDev>(
 ) -> s4_core::Result<Vec<Response>> {
     let t0 = clock.now();
     clock.advance(SimDuration::from_micros(1));
+    let at = clock.now();
     // The sub-requests run through the member's regular dispatch, so a
     // traced transaction's prepare leaves ordinary trace records —
     // stamped with the 2PC phase so the assembler can tell them from
@@ -1386,7 +1409,7 @@ fn worker_prepare<D: BlockDev>(
         }),
     };
     worker_txn_step(shard, members, |drive| {
-        drive.txn_prepare_at(&pctx, txid, t0, reqs)
+        drive.with_stamp_time(at, || drive.txn_prepare_at(&pctx, txid, t0, reqs))
     })
 }
 
@@ -1397,6 +1420,7 @@ fn worker_prepare<D: BlockDev>(
 fn worker_decide<D: BlockDev>(
     shard: usize,
     members: &[Arc<MemberSlot<D>>],
+    clock: &SimClock,
     ctx: &RequestContext,
     txid: u64,
     commit: bool,
@@ -1405,8 +1429,9 @@ fn worker_decide<D: BlockDev>(
         phase: PHASE_DECIDE,
         ..ctx.trace
     });
+    let at = clock.now();
     worker_txn_step(shard, members, |drive| {
-        drive.txn_decide(txid, commit)?;
+        drive.with_stamp_time(at, || drive.txn_decide(txid, commit))?;
         drive.record_phase_trace(&dctx, OpKind::Sync, ObjectId(txid), commit, 0);
         Ok(())
     })
@@ -1553,9 +1578,12 @@ fn worker_process<D: BlockDev>(
         }
         let mut canonical: Option<s4_core::Result<Response>> = None;
         let mut last_fault: Option<S4Error> = None;
+        // Replicas run one after another on the shared clock: stamp them
+        // all at one instant (see `S4Drive::with_stamp_time`).
+        let at = clock.now();
         for k in writable {
             let drive = members[k].drive();
-            match apply_with_retry(&drive, cfg, clock, ctx, req) {
+            match drive.with_stamp_time(at, || apply_with_retry(&drive, cfg, clock, ctx, req)) {
                 Applied::Done(r) => {
                     if canonical.is_none() {
                         canonical = Some(r);

@@ -5,7 +5,7 @@
 //! and per-shard partial batch outcomes (DESIGN §6f/§6g).
 
 use s4_array::{ArrayConfig, BatchOutcome, MemberState, S4Array};
-use s4_clock::{SimClock, SimDuration};
+use s4_clock::{CpuModel, SimClock, SimDuration};
 use s4_core::{
     AuditObserver, AuditRecord, ClientId, DriveConfig, ObjectId, Request, RequestContext, Response,
     S4Error, UserId,
@@ -401,4 +401,52 @@ fn batch_outcomes_map_failures_to_original_indices() {
     // All-or-nothing: the even write was rolled back with the batch.
     assert_eq!(read(&a, &ctx, even, 4), b"");
     assert_mirrors_converged(&a);
+}
+
+#[test]
+fn replicas_stamp_one_instant_though_each_charges_cpu_time() {
+    // Every member's dispatch advances the shared clock by its CPU cost
+    // before the next member applies the same mutation. The worker pins
+    // each request's version stamps to one instant on every replica, so
+    // plain mutations and two-phase-commit prepares alike leave the
+    // mirrors with identical versions.
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let mut config = DriveConfig::small_test();
+    config.cpu = CpuModel::pentium3_600();
+    let devices = (0..4).map(|_| clean_disk()).collect();
+    let a = S4Array::format(devices, config, mirrored(2), clock).unwrap();
+    let ctx = user();
+    let oids: Vec<ObjectId> = (0..4).map(|_| create(&a, &ctx)).collect();
+    for (i, &oid) in oids.iter().enumerate() {
+        write(&a, &ctx, oid, &vec![i as u8; 5000]);
+    }
+    let batch = oids
+        .iter()
+        .map(|&oid| Request::Write {
+            oid,
+            offset: 100,
+            data: vec![7; 64],
+        })
+        .collect();
+    a.dispatch(&ctx, &Request::Batch(batch)).unwrap();
+    a.dispatch(&ctx, &Request::Sync).unwrap();
+
+    let adm = admin();
+    for s in 0..a.shard_count() {
+        let (first, other) = (a.member_drive(s, 0), a.member_drive(s, 1));
+        let ids = first.live_object_ids(&adm).unwrap();
+        assert_eq!(
+            ids,
+            other.live_object_ids(&adm).unwrap(),
+            "shard {s} object sets"
+        );
+        for &oid in &ids {
+            assert_eq!(
+                first.object_digest(&adm, ObjectId(oid)).unwrap(),
+                other.object_digest(&adm, ObjectId(oid)).unwrap(),
+                "shard {s} object {oid} diverged between mirrors"
+            );
+        }
+    }
 }

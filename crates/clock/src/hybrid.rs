@@ -73,16 +73,17 @@ impl fmt::Display for HybridTimestamp {
 pub struct HybridClock {
     clock: SimClock,
     seq: Arc<AtomicU64>,
+    /// Time (µs) every stamp carries while pinned; [`UNPINNED`] otherwise.
+    pinned: Arc<AtomicU64>,
 }
+
+const UNPINNED: u64 = u64::MAX;
 
 impl HybridClock {
     /// Creates a stamp issuer over `clock`, starting the sequence at 1
     /// (sequence 0 is reserved for [`HybridTimestamp::ZERO`]).
     pub fn new(clock: SimClock) -> Self {
-        HybridClock {
-            clock,
-            seq: Arc::new(AtomicU64::new(1)),
-        }
+        HybridClock::resuming_from(clock, 1)
     }
 
     /// Creates a stamp issuer whose next sequence number is `next_seq`;
@@ -92,15 +93,36 @@ impl HybridClock {
         HybridClock {
             clock,
             seq: Arc::new(AtomicU64::new(next_seq)),
+            pinned: Arc::new(AtomicU64::new(UNPINNED)),
         }
     }
 
-    /// Issues the next stamp.
+    /// Issues the next stamp: the pinned time if one is set, else the
+    /// clock's current time.
     pub fn next(&self) -> HybridTimestamp {
+        let time = match self.pinned.load(Ordering::SeqCst) {
+            UNPINNED => self.clock.now(),
+            us => SimTime::from_micros(us),
+        };
         HybridTimestamp {
-            time: self.clock.now(),
+            time,
             seq: self.seq.fetch_add(1, Ordering::SeqCst),
         }
+    }
+
+    /// Makes every stamp issued until [`HybridClock::unpin`] carry time
+    /// `t` rather than the clock's current time. Replicas that apply the
+    /// same mutation one after another on a shared clock pin the same
+    /// instant, so they record identical versions however far the clock
+    /// moved in between. `t` must not precede a stamp already issued.
+    pub fn pin(&self, t: SimTime) {
+        debug_assert!(t.as_micros() != UNPINNED, "cannot pin the end of time");
+        self.pinned.store(t.as_micros(), Ordering::SeqCst);
+    }
+
+    /// Returns to stamping with the clock's current time.
+    pub fn unpin(&self) {
+        self.pinned.store(UNPINNED, Ordering::SeqCst);
     }
 
     /// Issues just the next sequence number, letting the caller pair it
@@ -172,6 +194,24 @@ mod tests {
         let saved = hc.peek_seq();
         let resumed = HybridClock::resuming_from(clock, saved);
         assert_eq!(resumed.next().seq, saved);
+    }
+
+    #[test]
+    fn pinned_stamps_ignore_clock_movement() {
+        let clock = SimClock::new();
+        let hc = HybridClock::new(clock.clone());
+        clock.advance(SimDuration::from_micros(5));
+        hc.pin(SimTime::from_micros(5));
+        clock.advance(SimDuration::from_micros(7));
+        let a = hc.next();
+        let b = hc.next();
+        assert_eq!(
+            (a.time, b.time),
+            (SimTime::from_micros(5), SimTime::from_micros(5))
+        );
+        assert!(a < b);
+        hc.unpin();
+        assert_eq!(hc.next().time, SimTime::from_micros(12));
     }
 
     #[test]

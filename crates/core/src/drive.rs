@@ -36,7 +36,7 @@ use crate::acl::{AclEntry, AclTable, Perm};
 use crate::alert::AlertState;
 use crate::audit::{AuditRecord, AuditState, OpKind};
 use crate::ids::{ObjectId, RequestContext};
-use crate::object::{DeltaRef, EvictInfo, ObjectEntry, SectorInfo, Slot};
+use crate::object::{DeltaRef, EvictInfo, ObjectEntry, ObjectTable, SectorInfo, Slot};
 use crate::stats::DriveStats;
 use crate::throttle::{ThrottleConfig, ThrottleState};
 use crate::{Result, S4Error};
@@ -297,7 +297,7 @@ pub struct AlertCursor {
 }
 
 struct Inner {
-    table: HashMap<u64, Slot>,
+    table: ObjectTable,
     next_oid: u64,
     window: SimDuration,
     audit: AuditState,
@@ -426,9 +426,7 @@ impl<D: BlockDev> S4Drive<D> {
             let meta = ObjectMeta::new(PARTITION_OBJECT.0, stamp);
             let mut entry = ObjectEntry::new(meta);
             entry.pending.push(JournalEntry::Create { stamp });
-            inner
-                .table
-                .insert(PARTITION_OBJECT.0, Slot::Cached(Box::new(entry)));
+            inner.table.insert_cached(entry);
             drive.sync_locked(&mut inner)?;
             drive.anchor_locked(&mut inner)?;
         }
@@ -453,7 +451,7 @@ impl<D: BlockDev> S4Drive<D> {
             oid_offset: AtomicU64::new(config.oid_offset),
             config,
             inner: Mutex::new(Inner {
-                table: HashMap::new(),
+                table: ObjectTable::default(),
                 next_oid: FIRST_DYNAMIC_OID,
                 window: config.detection_window,
                 audit: AuditState::default(),
@@ -548,7 +546,7 @@ impl<D: BlockDev> S4Drive<D> {
                 report.max_recovered_stamp = report.max_recovered_stamp.max(d);
             }
             entry.dirty = false;
-            inner.table.insert(rec.oid, Slot::Cached(Box::new(entry)));
+            inner.table.insert_cached(entry);
             // High-sentinel reserved objects (the transaction log) must
             // not drag the dynamic id allocator to the top of the space.
             if rec.oid < TXN_OBJECT.0 {
@@ -670,6 +668,24 @@ impl<D: BlockDev> S4Drive<D> {
         &self.clock
     }
 
+    /// Runs `f` with every version stamp this drive issues pinned to time
+    /// `t` (see [`HybridClock::pin`]). A mirrored array applies each
+    /// mutation to its replicas one after another on a shared clock;
+    /// pinning all of them to one instant keeps their versions, and so
+    /// their [`S4Drive::object_digest`]s, identical. `t` must not precede
+    /// a stamp this drive already issued.
+    pub fn with_stamp_time<T>(&self, t: SimTime, f: impl FnOnce() -> T) -> T {
+        struct Unpin<'a>(&'a HybridClock);
+        impl Drop for Unpin<'_> {
+            fn drop(&mut self) {
+                self.0.unpin();
+            }
+        }
+        self.stamps.pin(t);
+        let _unpin = Unpin(&self.stamps);
+        f()
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.clock.now()
@@ -770,7 +786,7 @@ impl<D: BlockDev> S4Drive<D> {
         redo(&mut entry.meta, &set);
         entry.pending.push(set);
         entry.last_used = inner.bump_lru();
-        inner.table.insert(oid, Slot::Cached(Box::new(entry)));
+        inner.table.insert_cached(entry);
         self.stats.versions_created(1);
         Ok(ObjectId(oid))
     }
@@ -1175,8 +1191,7 @@ impl<D: BlockDev> S4Drive<D> {
             return Err(S4Error::AccessDenied);
         }
         let mut inner = self.inner.lock();
-        let oids: Vec<u64> = inner.table.keys().copied().collect();
-        for oid in oids {
+        for oid in inner.table.oids() {
             self.flush_object_range(&mut inner, ObjectId(oid), from, to)?;
         }
         Ok(())
@@ -1460,22 +1475,15 @@ impl<D: BlockDev> S4Drive<D> {
         reg.gauge("s4_free_segments", "free log segments remaining")
             .set(self.log.free_segments() as f64);
 
-        let (journal_depth, audit_blocks, alert_blocks, trace_blocks, objects, window_us) = {
+        let (journal_depth, audit_blocks, alert_blocks, trace_blocks, objects, cached, window_us) = {
             let inner = self.inner.lock();
-            let depth: usize = inner
-                .table
-                .values()
-                .map(|s| match s {
-                    Slot::Cached(e) => e.pending.len(),
-                    _ => 0,
-                })
-                .sum();
             (
-                depth,
+                inner.table.pending_entries(),
                 inner.audit.blocks.len(),
                 inner.alerts.blocks.len(),
                 inner.traces.blocks.len(),
                 inner.table.len(),
+                inner.table.cached_len(),
                 inner.window.as_micros(),
             )
         };
@@ -1492,6 +1500,11 @@ impl<D: BlockDev> S4Drive<D> {
             .set(trace_blocks as f64);
         reg.gauge("s4_objects", "objects in the drive's object table")
             .set(objects as f64);
+        reg.gauge(
+            "s4_cached_objects",
+            "objects held in full in the object cache (at most object_cache_entries after a sync)",
+        )
+        .set(cached as f64);
         reg.gauge(
             "s4_detection_window_days",
             "configured guaranteed detection window, days",
@@ -1605,6 +1618,16 @@ impl<D: BlockDev> S4Drive<D> {
         Ok(out)
     }
 
+    /// Asserts the object table's index invariants (see DESIGN §5): every
+    /// cached object with pending journal entries is in the dirty index,
+    /// and the LRU index holds exactly the cached objects. Returns the
+    /// cached oids, least recently used first. O(table), so meant for
+    /// tests and the crash-torture harness, not the Sync path.
+    #[doc(hidden)]
+    pub fn check_cache_indexes(&self) -> Vec<u64> {
+        self.inner.lock().table.check_indexes()
+    }
+
     /// Deterministic digest of the drive's logical state: the object
     /// table (metadata, sector lists, forwarding/delta maps, landmarks,
     /// history floors, pending journal entries), the audit and alert
@@ -1633,11 +1656,9 @@ impl<D: BlockDev> S4Drive<D> {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         h.u64(inner.next_oid);
         h.u64(inner.window.as_micros());
-        let mut oids: Vec<u64> = inner.table.keys().copied().collect();
-        oids.sort_unstable();
-        for oid in oids {
+        for oid in inner.table.oids() {
             h.u64(oid);
-            match &inner.table[&oid] {
+            match inner.table.get(oid).expect("listed oid") {
                 Slot::Cached(entry) => {
                     h.u64(1);
                     h.bytes(&entry.encode());
@@ -1751,10 +1772,8 @@ impl<D: BlockDev> S4Drive<D> {
             return Err(S4Error::AccessDenied);
         }
         let mut inner = self.inner.lock();
-        let mut oids: Vec<u64> = inner.table.keys().copied().collect();
-        oids.sort_unstable();
         let mut objects = Vec::new();
-        for oid in oids {
+        for oid in inner.table.oids() {
             let entry = self.take_cached(&mut inner, ObjectId(oid))?;
             let r = (|| -> Result<Option<ResyncObject>> {
                 if !entry.meta.is_live() {
@@ -1876,7 +1895,7 @@ impl<D: BlockDev> S4Drive<D> {
                     entry.pending.push(e);
                 }
                 entry.dirty = true;
-                inner.table.insert(obj.oid, Slot::Cached(Box::new(entry)));
+                inner.table.insert_cached(entry);
             }
             inner.next_oid = inner.next_oid.max(image.next_oid);
 
@@ -1973,7 +1992,7 @@ impl<D: BlockDev> S4Drive<D> {
                 Slot::Cached(e) => e.meta.is_live(),
                 Slot::Evicted(info) => info.deleted.is_none(),
             })
-            .map(|(&oid, _)| oid)
+            .map(|(oid, _)| oid)
             .collect();
         out.sort_unstable();
         Ok(out)
@@ -2114,7 +2133,7 @@ impl<D: BlockDev> S4Drive<D> {
         }
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        if !inner.table.contains_key(&obj.oid) {
+        if !inner.table.contains(obj.oid) {
             let created = HybridTimestamp::new(obj.created, self.stamps.next_seq());
             let mut entry = ObjectEntry::new(ObjectMeta::new(obj.oid, created));
             entry.pending.push(JournalEntry::Create { stamp: created });
@@ -2151,7 +2170,7 @@ impl<D: BlockDev> S4Drive<D> {
                 entry.pending.push(e);
             }
             entry.dirty = true;
-            inner.table.insert(obj.oid, Slot::Cached(Box::new(entry)));
+            inner.table.insert_cached(entry);
             inner.next_oid = inner.next_oid.max(obj.oid + 1);
             self.stats.versions_created(1);
             return Ok(());
@@ -2264,9 +2283,8 @@ impl<D: BlockDev> S4Drive<D> {
         let now = self.clock.now();
         let window = inner.window;
         let cutoff = HybridTimestamp::upper_bound_at(now.saturating_sub(window));
-        let oids: Vec<u64> = inner.table.keys().copied().collect();
         let mut released = 0u64;
-        for oid in oids {
+        for oid in inner.table.oids() {
             released += self.expire_object(&mut inner, ObjectId(oid), cutoff)?;
         }
         self.stats.expired_blocks(released);
@@ -2296,13 +2314,13 @@ impl<D: BlockDev> S4Drive<D> {
     pub fn compact_history(&self) -> Result<(u64, u64)> {
         let mut inner = self.inner.lock();
         // Pack pending entries so the journal reflects every mutation.
-        let oids: Vec<u64> = inner.table.keys().copied().collect();
-        self.pack_objects(&mut inner, &oids)?;
+        let dirty = inner.table.take_dirty();
+        self.pack_objects(&mut inner, &dirty)?;
         let mut encoded = 0u64;
         let mut released = 0u64;
         // Collected payloads: (object, key, base, delta bytes).
         let mut payloads: Vec<(u64, u64, BlockAddr, Vec<u8>)> = Vec::new();
-        for oid in oids {
+        for oid in inner.table.oids() {
             if oid == AUDIT_OBJECT.0 {
                 continue;
             }
@@ -2403,7 +2421,7 @@ impl<D: BlockDev> S4Drive<D> {
             inner.live.insert(addr.0);
             inner.dblock_refs.insert(addr.0, batch.len() as u32);
             for (slot, (oid, key, base, _)) in batch.drain(..).enumerate() {
-                if let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) {
+                if let Some(entry) = inner.table.cached_mut(oid) {
                     entry.deltas.insert(
                         key,
                         DeltaRef {
@@ -2653,7 +2671,7 @@ impl<D: BlockDev> S4Drive<D> {
 
     /// Loads an evicted object back into the cache.
     fn ensure_cached(&self, inner: &mut Inner, oid: ObjectId) -> Result<()> {
-        let info = match inner.table.get(&oid.0) {
+        let info = match inner.table.get(oid.0) {
             None => return Err(S4Error::NoSuchObject),
             Some(Slot::Cached(_)) => return Ok(()),
             Some(Slot::Evicted(info)) => *info,
@@ -2664,13 +2682,13 @@ impl<D: BlockDev> S4Drive<D> {
         entry.checkpoint_slot = info.checkpoint_slot;
         entry.checkpoint_blocks = blocks;
         entry.last_used = inner.bump_lru();
-        inner.table.insert(oid.0, Slot::Cached(Box::new(entry)));
+        inner.table.insert_cached(entry);
         Ok(())
     }
 
     fn take_cached(&self, inner: &mut Inner, oid: ObjectId) -> Result<ObjectEntry> {
         self.ensure_cached(inner, oid)?;
-        match inner.table.remove(&oid.0) {
+        match inner.table.remove(oid.0) {
             Some(Slot::Cached(mut e)) => {
                 e.last_used = inner.bump_lru();
                 Ok(*e)
@@ -2680,9 +2698,7 @@ impl<D: BlockDev> S4Drive<D> {
     }
 
     fn put_back(&self, inner: &mut Inner, entry: ObjectEntry) {
-        inner
-            .table
-            .insert(entry.meta.id, Slot::Cached(Box::new(entry)));
+        inner.table.insert_cached(entry);
     }
 
     /// Reads `[offset, offset+len)` of the given version's data.
@@ -3062,7 +3078,7 @@ impl<D: BlockDev> S4Drive<D> {
             inner.live.insert(addr.0);
             inner.cpblock_refs.insert(addr.0, batch.len() as u32);
             for (slot, (oid, _)) in batch.drain(..).enumerate() {
-                if let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) {
+                if let Some(entry) = inner.table.cached_mut(oid) {
                     entry.checkpoint_root = addr;
                     entry.checkpoint_slot = slot as u32;
                 }
@@ -3110,7 +3126,7 @@ impl<D: BlockDev> S4Drive<D> {
         }
         let mut items: Vec<Item> = Vec::new();
         for &oid in oids {
-            let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) else {
+            let Some(entry) = inner.table.cached_mut(oid) else {
                 continue;
             };
             if entry.pending.is_empty() {
@@ -3148,7 +3164,7 @@ impl<D: BlockDev> S4Drive<D> {
             inner.live.insert(addr.0);
             inner.jblock_refs.insert(addr.0, block.len() as u32);
             for (slot, item) in block.drain(..).enumerate() {
-                if let Some(Slot::Cached(entry)) = inner.table.get_mut(&item.oid) {
+                if let Some(entry) = inner.table.cached_mut(item.oid) {
                     entry.sectors.push(SectorInfo {
                         addr,
                         slot: slot as u32,
@@ -3199,15 +3215,8 @@ impl<D: BlockDev> S4Drive<D> {
     /// Sync: pack all pending journal entries, flush the log, and perform
     /// periodic anchoring / object-cache eviction.
     fn sync_locked(&self, inner: &mut Inner) -> Result<()> {
-        let oids: Vec<u64> = inner
-            .table
-            .iter()
-            .filter_map(|(&oid, slot)| match slot {
-                Slot::Cached(e) if !e.pending.is_empty() => Some(oid),
-                _ => None,
-            })
-            .collect();
-        self.pack_objects(inner, &oids)?;
+        let dirty = inner.table.take_dirty();
+        self.pack_objects(inner, &dirty)?;
         self.log.flush()?;
         self.stats.syncs(1);
         inner.syncs_since_anchor += 1;
@@ -3224,19 +3233,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// cache").
     fn evict_excess(&self, inner: &mut Inner) -> Result<()> {
         let limit = self.config.object_cache_entries.max(1);
-        loop {
-            let cached: Vec<(u64, u64)> = inner
-                .table
-                .iter()
-                .filter_map(|(&oid, slot)| match slot {
-                    Slot::Cached(e) => Some((e.last_used, oid)),
-                    _ => None,
-                })
-                .collect();
-            if cached.len() <= limit {
-                return Ok(());
-            }
-            let (_, victim) = cached.iter().copied().min().expect("non-empty");
+        while let Some(victim) = inner.table.lru_victim(limit) {
             self.pack_objects(inner, &[victim])?;
             let mut entry = self.take_cached(inner, ObjectId(victim))?;
             if entry.dirty || entry.checkpoint_root.is_none() {
@@ -3248,8 +3245,9 @@ impl<D: BlockDev> S4Drive<D> {
                 expiry_hint: entry.expiry_hint(),
                 deleted: entry.meta.deleted,
             };
-            inner.table.insert(victim, Slot::Evicted(info));
+            inner.table.insert_evicted(victim, info);
         }
+        Ok(())
     }
 
     /// Writes a drive anchor: ensures every object is recoverable
@@ -3259,23 +3257,17 @@ impl<D: BlockDev> S4Drive<D> {
     /// anchor mechanism.
     fn anchor_locked(&self, inner: &mut Inner) -> Result<()> {
         // Pack any pending journal entries first.
-        let pending_oids: Vec<u64> = inner
-            .table
-            .iter()
-            .filter_map(|(&oid, slot)| match slot {
-                Slot::Cached(e) if !e.pending.is_empty() => Some(oid),
-                _ => None,
-            })
-            .collect();
-        self.pack_objects(inner, &pending_oids)?;
+        let dirty = inner.table.take_dirty();
+        self.pack_objects(inner, &dirty)?;
 
         // Checkpoint objects that a crash could not otherwise recover: a
         // checkpoint-less object is fine as long as its full journal
-        // history (starting at its Create entry) is retained.
-        let need_cp: Vec<u64> = inner
+        // history (starting at its Create entry) is retained. Oid order
+        // keeps the checkpoint layout independent of hash order.
+        let mut need_cp: Vec<u64> = inner
             .table
             .iter()
-            .filter_map(|(&oid, slot)| match slot {
+            .filter_map(|(oid, slot)| match slot {
                 Slot::Cached(e)
                     if e.needs_checkpoint
                         || (e.checkpoint_root.is_none()
@@ -3286,6 +3278,7 @@ impl<D: BlockDev> S4Drive<D> {
                 _ => None,
             })
             .collect();
+        need_cp.sort_unstable();
         self.pack_checkpoints(inner, &need_cp)?;
 
         // Persist any buffered audit tail so records survive restarts.
@@ -3340,7 +3333,7 @@ impl<D: BlockDev> S4Drive<D> {
         cutoff: HybridTimestamp,
     ) -> Result<u64> {
         // Skip loading evicted objects that cannot have expirable state.
-        if let Some(Slot::Evicted(info)) = inner.table.get(&oid.0) {
+        if let Some(Slot::Evicted(info)) = inner.table.get(oid.0) {
             let deletable = info.deleted.is_some_and(|d| d <= cutoff);
             if info.expiry_hint > cutoff && !deletable {
                 return Ok(0);
@@ -3730,12 +3723,12 @@ impl<D: BlockDev> S4Drive<D> {
     /// object lazily on first use (no dynamic-oid consumption — the id
     /// is a reserved sentinel).
     fn txn_append_record(&self, inner: &mut Inner, rec: &TxnRecord) -> Result<()> {
-        if !inner.table.contains_key(&TXN_OBJECT.0) {
+        if !inner.table.contains(TXN_OBJECT.0) {
             let stamp = self.stamps.next();
             let mut entry = ObjectEntry::new(ObjectMeta::new(TXN_OBJECT.0, stamp));
             entry.pending.push(JournalEntry::Create { stamp });
             entry.last_used = inner.bump_lru();
-            inner.table.insert(TXN_OBJECT.0, Slot::Cached(Box::new(entry)));
+            inner.table.insert_cached(entry);
         }
         let mut bytes = Vec::new();
         rec.encode_into(&mut bytes);
@@ -3751,7 +3744,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// truncate rides the next sync; losing it merely leaves resolved
     /// records that the in-doubt fold ignores.
     fn txn_truncate_log(&self, inner: &mut Inner) -> Result<()> {
-        if !inner.table.contains_key(&TXN_OBJECT.0) {
+        if !inner.table.contains(TXN_OBJECT.0) {
             return Ok(());
         }
         let mut entry = self.take_cached(inner, TXN_OBJECT)?;
@@ -3770,7 +3763,7 @@ impl<D: BlockDev> S4Drive<D> {
         let mut inner = self.inner.lock();
         inner.txn_pending.clear();
         inner.txn_locks.clear();
-        if !inner.table.contains_key(&TXN_OBJECT.0) {
+        if !inner.table.contains(TXN_OBJECT.0) {
             return Ok(());
         }
         let entry = self.take_cached(&mut inner, TXN_OBJECT)?;
@@ -3826,8 +3819,7 @@ impl<D: BlockDev> S4Drive<D> {
                 }
             }
             None => {
-                let oids: Vec<u64> = inner.table.keys().copied().collect();
-                for oid in oids {
+                for oid in inner.table.oids() {
                     if oid == TXN_OBJECT.0 {
                         continue;
                     }
@@ -3848,7 +3840,7 @@ impl<D: BlockDev> S4Drive<D> {
     /// it twice converges — the second pass finds nothing stamped after
     /// `t0` left to restore.
     fn txn_restore_object(&self, inner: &mut Inner, oid: ObjectId, t0: SimTime) -> Result<()> {
-        if !inner.table.contains_key(&oid.0) {
+        if !inner.table.contains(oid.0) {
             // The create never reached disk; nothing to compensate.
             return Ok(());
         }
@@ -4042,7 +4034,7 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                 {
                     return Ok(()); // object vanished; block was stale
                 }
-                if let Some(Slot::Cached(entry)) = inner.table.get_mut(&tag.object) {
+                if let Some(entry) = inner.table.cached_mut(tag.object) {
                     // Current map pointer, if it is this address.
                     if entry.meta.blocks.get(&tag.aux) == Some(&addr) {
                         entry.meta.blocks.insert(tag.aux, new);
@@ -4089,7 +4081,7 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                     if drive.ensure_cached(&mut inner, ObjectId(oid)).is_err() {
                         continue;
                     }
-                    if let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) {
+                    if let Some(entry) = inner.table.cached_mut(oid) {
                         for info in entry.sectors.iter_mut().filter(|s| s.addr == addr) {
                             info.addr = new;
                         }
@@ -4120,8 +4112,8 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                     if drive.ensure_cached(&mut inner, ObjectId(oid)).is_err() {
                         continue;
                     }
-                    let stale_chain: Vec<BlockAddr> = match inner.table.get_mut(&oid) {
-                        Some(Slot::Cached(entry)) => {
+                    let stale_chain: Vec<BlockAddr> = match inner.table.cached_mut(oid) {
+                        Some(entry) => {
                             if entry.checkpoint_root != addr {
                                 continue; // superseded since
                             }
@@ -4173,7 +4165,7 @@ impl<D: BlockDev> RelocationCallbacks for DriveCallbacks<'_, D> {
                     if drive.ensure_cached(&mut inner, ObjectId(oid)).is_err() {
                         continue;
                     }
-                    if let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) {
+                    if let Some(entry) = inner.table.cached_mut(oid) {
                         if let Some(dref) = entry.deltas.get_mut(&key) {
                             if dref.block == addr {
                                 dref.block = new;
@@ -4343,7 +4335,7 @@ fn encode_anchor_payload(inner: &Inner) -> Vec<u8> {
     out.extend_from_slice(&inner.window.as_micros().to_le_bytes());
     out.extend_from_slice(&inner.audit.encode());
     out.extend_from_slice(&(inner.table.len() as u32).to_le_bytes());
-    for (&oid, slot) in &inner.table {
+    for (oid, slot) in inner.table.iter() {
         out.extend_from_slice(&oid.to_le_bytes());
         match slot {
             Slot::Cached(e) => {
@@ -4387,7 +4379,7 @@ fn decode_anchor_payload(
     config: &DriveConfig,
 ) -> Result<(Inner, Vec<AnchorRecord>)> {
     let mut inner = Inner {
-        table: HashMap::new(),
+        table: ObjectTable::default(),
         next_oid: FIRST_DYNAMIC_OID,
         window: config.detection_window,
         audit: AuditState::default(),
@@ -4491,14 +4483,15 @@ fn apply_recovered_sector(
     entries: &[JournalEntry],
 ) -> Result<()> {
     // Materialize the object if it was born after the anchor.
-    if let std::collections::hash_map::Entry::Vacant(v) = inner.table.entry(oid) {
+    if !inner.table.contains(oid) {
         let Some(JournalEntry::Create { stamp }) = entries.first() else {
             return Err(S4Error::BadRequest("recovered sector for unknown object"));
         };
-        let entry = ObjectEntry::new(ObjectMeta::new(oid, *stamp));
-        v.insert(Slot::Cached(Box::new(entry)));
+        inner
+            .table
+            .insert_cached(ObjectEntry::new(ObjectMeta::new(oid, *stamp)));
     }
-    let Some(Slot::Cached(entry)) = inner.table.get_mut(&oid) else {
+    let Some(entry) = inner.table.cached_mut(oid) else {
         // All anchored objects are Cached during mount.
         return Err(S4Error::BadRequest("recovered sector for evicted object"));
     };
@@ -4541,9 +4534,8 @@ fn rebuild_liveness<D: BlockDev>(log: &Log<D>, inner: &mut Inner) -> Result<()> 
     for a in audit_blocks {
         inner.live.insert(a);
     }
-    let oids: Vec<u64> = inner.table.keys().copied().collect();
-    for oid in oids {
-        let Some(Slot::Cached(entry)) = inner.table.get(&oid) else {
+    for oid in inner.table.oids() {
+        let Some(Slot::Cached(entry)) = inner.table.get(oid) else {
             continue;
         };
         // Current data blocks (resolved through forwarding).

@@ -11,7 +11,7 @@
 //! (only its checkpoint root and expiry hints retained); the paper's 32 MB
 //! object cache corresponds to the cached set.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use s4_clock::{HybridTimestamp, SimTime};
 use s4_journal::{JournalEntry, ObjectMeta};
@@ -316,6 +316,151 @@ pub enum Slot {
     Cached(Box<ObjectEntry>),
     /// Only the checkpoint location retained.
     Evicted(EvictInfo),
+}
+
+/// The drive's object table: every object's [`Slot`], plus two indexes
+/// that make a Sync cost O(objects touched since the last Sync) instead
+/// of O(objects ever held).
+///
+/// * The **dirty index** holds every cached oid whose entry has pending
+///   journal entries. Entries are mutated only while taken out of the
+///   table, and [`ObjectTable::insert_cached`] is the one way back in, so
+///   it sees every mutation. The index may be a superset — an oid whose
+///   entries were since packed, or that was removed — because its
+///   consumers skip entries with nothing pending. It must never miss an
+///   oid: a Sync would then leave that mutation unpacked and ack a write
+///   that is not durable.
+/// * The **LRU index** holds exactly the cached oids, ordered by
+///   `(last_used, oid)`: its length is the cached count and its first
+///   element the eviction victim.
+///
+/// [`ObjectTable::check_indexes`] asserts both invariants.
+#[derive(Default)]
+pub(crate) struct ObjectTable {
+    slots: HashMap<u64, Slot>,
+    dirty: BTreeSet<u64>,
+    lru: BTreeSet<(u64, u64)>,
+}
+
+impl ObjectTable {
+    /// Objects in the table, cached or evicted.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Objects whose full entry is in memory.
+    pub fn cached_len(&self) -> usize {
+        self.lru.len()
+    }
+
+    pub fn contains(&self, oid: u64) -> bool {
+        self.slots.contains_key(&oid)
+    }
+
+    pub fn get(&self, oid: u64) -> Option<&Slot> {
+        self.slots.get(&oid)
+    }
+
+    /// The cached entry of `oid`, for in-place bookkeeping (sector lists,
+    /// checkpoint locations, relocations). Callers must not add pending
+    /// journal entries or touch `last_used` through it: take the entry
+    /// out and put it back with [`ObjectTable::insert_cached`] instead.
+    pub fn cached_mut(&mut self, oid: u64) -> Option<&mut ObjectEntry> {
+        match self.slots.get_mut(&oid) {
+            Some(Slot::Cached(e)) => Some(e),
+            _ => None,
+        }
+    }
+
+    /// Every slot, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &Slot)> {
+        self.slots.iter().map(|(&oid, slot)| (oid, slot))
+    }
+
+    /// Every oid, ascending (a deterministic order for layout-affecting
+    /// passes).
+    pub fn oids(&self) -> Vec<u64> {
+        let mut oids: Vec<u64> = self.slots.keys().copied().collect();
+        oids.sort_unstable();
+        oids
+    }
+
+    /// Inserts (or replaces) `entry` as cached — the single choke point
+    /// that feeds both indexes.
+    pub fn insert_cached(&mut self, entry: ObjectEntry) {
+        let (oid, last_used) = (entry.meta.id, entry.last_used);
+        if !entry.pending.is_empty() {
+            self.dirty.insert(oid);
+        }
+        if let Some(Slot::Cached(old)) = self.slots.insert(oid, Slot::Cached(Box::new(entry))) {
+            self.lru.remove(&(old.last_used, oid));
+        }
+        self.lru.insert((last_used, oid));
+    }
+
+    /// Replaces `oid`'s slot with its eviction record.
+    pub fn insert_evicted(&mut self, oid: u64, info: EvictInfo) {
+        self.remove(oid);
+        self.slots.insert(oid, Slot::Evicted(info));
+    }
+
+    pub fn remove(&mut self, oid: u64) -> Option<Slot> {
+        let slot = self.slots.remove(&oid);
+        if let Some(Slot::Cached(e)) = &slot {
+            self.lru.remove(&(e.last_used, oid));
+        }
+        slot
+    }
+
+    /// Drains the dirty index, ascending. May include oids with nothing
+    /// pending (or no longer cached); packing skips those.
+    pub fn take_dirty(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.dirty).into_iter().collect()
+    }
+
+    /// Journal entries pending across cached objects.
+    pub fn pending_entries(&self) -> usize {
+        self.dirty
+            .iter()
+            .filter_map(|&oid| match self.slots.get(&oid) {
+                Some(Slot::Cached(e)) => Some(e.pending.len()),
+                _ => None,
+            })
+            .sum()
+    }
+
+    /// The least recently used cached oid while more than `limit`
+    /// entries are cached; `None` at or below the limit.
+    pub fn lru_victim(&self, limit: usize) -> Option<u64> {
+        if self.lru.len() <= limit {
+            return None;
+        }
+        self.lru.first().map(|&(_, oid)| oid)
+    }
+
+    /// Asserts both index invariants against a full scan of the table:
+    /// every cached entry with pending journal entries is in the dirty
+    /// index, and the LRU index holds exactly the cached oids with their
+    /// `last_used`. Returns the cached oids, least recently used first.
+    /// O(table): for tests and the crash-torture harness.
+    pub fn check_indexes(&self) -> Vec<u64> {
+        let mut cached = BTreeSet::new();
+        for (&oid, slot) in &self.slots {
+            if let Slot::Cached(e) = slot {
+                assert!(
+                    e.pending.is_empty() || self.dirty.contains(&oid),
+                    "object {oid} has {} pending journal entries but is not in the dirty index",
+                    e.pending.len()
+                );
+                cached.insert((e.last_used, oid));
+            }
+        }
+        assert_eq!(
+            self.lru, cached,
+            "LRU index differs from the cached entries"
+        );
+        self.lru.iter().map(|&(_, oid)| oid).collect()
+    }
 }
 
 fn push_stamp(out: &mut Vec<u8>, s: HybridTimestamp) {

@@ -391,6 +391,9 @@ fn run_workload<D: BlockDev>(
             TraceCtx::default()
         };
         let result = drive.dispatch(&ctx.with_trace(trace), &req);
+        // Every mutation must be visible to the next Sync through the
+        // drive's dirty index; a miss would ack a non-durable write.
+        drive.check_cache_indexes();
 
         // Predict the audit record dispatch just appended (same
         // construction as `S4Drive::dispatch`; CPU is free in
@@ -513,6 +516,8 @@ fn verify_durable<D: BlockDev>(
     boundary: SimTime,
     what: &str,
 ) -> usize {
+    // Recovery rebuilds the object table; its indexes must match.
+    drive.check_cache_indexes();
     let admin = admin_ctx();
     let mut checked = 0;
     for &raw in &st.order {
@@ -559,6 +564,7 @@ fn verify_durable<D: BlockDev>(
 /// checkpoint instant (the strongest oracle validation; replays use the
 /// cheaper per-entry [`verify_durable`]).
 fn verify_full<D: BlockDev>(drive: &S4Drive<D>, st: &RunState) -> usize {
+    drive.check_cache_indexes();
     let admin = admin_ctx();
     let mut checked = 0;
     for &raw in &st.order {

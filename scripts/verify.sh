@@ -51,6 +51,9 @@
 # 15. the tracing-overhead bench at smoke scale, which asserts request
 #    tracing costs <= 5% of 8-client stress throughput (BENCH_JSON
 #    line; committed baseline in BENCH_trace.json)
+# 16. the repo benchmark's self-test (perfbench/): every workload at
+#    smoke size must build against the current crates, emit every
+#    metric, and catch each of its planted faults
 #
 # The exhaustive campaigns (every crash point of a 500-op workload,
 # every second-crash point inside recovery, and every 2PC crash point
@@ -88,6 +91,7 @@ for metric in \
     s4_disk_latency_us \
     s4_detection_window_headroom_days \
     s4_history_pool_occupancy \
+    s4_cached_objects \
     s4_requests_total; do
   grep -qF "$metric" target/verify-stats.prom \
     || { echo "verify: exposition missing $metric" >&2; exit 1; }
@@ -142,5 +146,8 @@ S4_BENCH_SCALE="${S4_BENCH_SCALE:-0.25}" cargo bench -p s4-bench --bench fig_tra
 grep -q '^BENCH_JSON ' target/fig_trace.out \
   || { echo "verify: fig_trace emitted no BENCH_JSON line" >&2; exit 1; }
 grep '^BENCH_JSON ' target/fig_trace.out | sed 's/^BENCH_JSON //' > target/BENCH_trace.json
+
+echo "== perfbench self-test (benchmark builds and its checks catch planted faults)"
+python3 perfbench/run.py --selftest
 
 echo "verify: OK"

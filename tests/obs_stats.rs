@@ -64,6 +64,7 @@ fn exposition_reports_per_layer_latency_and_gauges() {
         "s4_history_pool_occupancy",
         "s4_detection_window_headroom_days",
         "s4_journal_depth",
+        "s4_cached_objects",
         "s4_alert_object_blocks",
         "s4_trace_object_blocks",
     ] {
@@ -86,6 +87,46 @@ fn exposition_reports_per_layer_latency_and_gauges() {
     ] {
         assert!(json.contains(needle), "json exposition missing {needle}:\n{json}");
     }
+}
+
+/// The value of an unlabelled gauge in a Prometheus text exposition.
+fn gauge(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("exposition missing {name}:\n{text}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn cached_objects_gauge_respects_the_object_cache_limit() {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let mut config = DriveConfig::small_test();
+    config.object_cache_entries = 4;
+    let drive = S4Drive::format(MemDisk::new(100_000), config, clock.clone()).unwrap();
+    let (_, user) = contexts(drive.config());
+    for i in 0..20u8 {
+        write(&drive, &user, &[i; 512]);
+        drive.dispatch(&user, &Request::Sync).unwrap();
+        clock.advance(SimDuration::from_millis(10));
+        let text = drive.metrics_text();
+        let cached = gauge(&text, "s4_cached_objects");
+        assert!(
+            (1.0..=4.0).contains(&cached),
+            "{cached} objects cached after sync {i}, limit 4"
+        );
+        assert!(gauge(&text, "s4_objects") >= f64::from(i) + 1.0);
+        assert_eq!(
+            gauge(&text, "s4_journal_depth"),
+            0.0,
+            "sync packed everything"
+        );
+    }
+    // Unsynced mutations show as journal depth.
+    write(&drive, &user, b"pending");
+    assert!(gauge(&drive.metrics_text(), "s4_journal_depth") >= 2.0);
 }
 
 #[test]

@@ -22,8 +22,10 @@ fn bounded_txn_campaign_is_atomic_at_every_sampled_point() {
     let cfg = TxnTortureConfig::bounded();
     let summary = txn_campaign(&cfg);
     // One greppable line per campaign; verify.sh and CI tee these into
-    // the txn-torture summary artifact.
-    println!("TXN_TORTURE bounded {summary:?}");
+    // the txn-torture summary artifact. The leading newline ends the
+    // progress dots `cargo test -q` prints, so the line starts with the
+    // tag.
+    println!("\nTXN_TORTURE bounded {summary:?}");
     assert!(summary.domain >= 8, "2PC window too small: {summary:?}");
     assert!(summary.crash_points <= 24, "bounded cap violated: {summary:?}");
     assert_eq!(summary.replays, summary.crash_points * cfg.replays_per_point());
@@ -82,7 +84,7 @@ fn exhaustive_txn_campaign_two_shards() {
     cfg.max_crash_points = None;
     cfg.patterns_per_point = Some(2);
     let summary = txn_campaign(&cfg);
-    println!("TXN_TORTURE exhaustive-two-shard {summary:?}");
+    println!("\nTXN_TORTURE exhaustive-two-shard {summary:?}");
     assert_eq!(summary.crash_points as u64, summary.domain, "{summary:?}");
     assert!(summary.committed > 0 && summary.aborted > 0, "{summary:?}");
 }
@@ -91,7 +93,7 @@ fn exhaustive_txn_campaign_two_shards() {
 #[ignore = "exhaustive: mirrored 3-shard array, every crash point; run explicitly"]
 fn exhaustive_txn_campaign_mirrored() {
     let summary = txn_campaign(&TxnTortureConfig::exhaustive());
-    println!("TXN_TORTURE exhaustive-mirrored {summary:?}");
+    println!("\nTXN_TORTURE exhaustive-mirrored {summary:?}");
     assert_eq!(summary.crash_points as u64, summary.domain, "{summary:?}");
     assert!(summary.committed > 0 && summary.aborted > 0, "{summary:?}");
 }
