@@ -19,8 +19,8 @@
 //! * [`tcp`] — a real framed-TCP transport and server for the S4 RPC
 //!   protocol.
 //! * [`tools`] — §3.6's "time-enhanced" administrative utilities
-//!   (`ls`/`cat` at a point in time, file restoration from the history
-//!   pool, and audit-log-driven damage reports).
+//!   (`ls`/`cat` at a point in time and file restoration from the
+//!   history pool).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +37,5 @@ pub use tcp::{
     RpcHandler, TcpServerHandle, TcpTransport, RESHARD_FRAME_MARKER, STATS_FRAME_MARKER,
     TXN_FRAME_MARKER,
 };
-#[allow(deprecated)]
-pub use tools::{damage_report, ls_at, read_file_at, restore_file, DamageReport};
+pub use tools::{ls_at, read_file_at, restore_file};
 pub use transport::{LoopbackTransport, Transport};

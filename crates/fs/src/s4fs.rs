@@ -10,7 +10,10 @@
 //!   ("since this RPC does not return until the synchronization is
 //!   complete, NFSv2 semantics are supported even though the drive
 //!   normally caches writes").
-//! * Read-only attribute and directory caches absorb repeat lookups.
+//! * Read-only attribute and directory caches absorb repeat lookups. A
+//!   directory mutation takes its directory out of the cache, edits the
+//!   entries in place and puts it back only once the drive has accepted
+//!   every request.
 //!
 //! Time-travel variants (`*_at`) expose the drive's time-based access for
 //! the recovery tools; they bypass the caches.
@@ -52,10 +55,58 @@ impl Default for S4FsConfig {
     }
 }
 
+/// One directory entry: name, handle and kind.
+type Entry = (String, Handle, FileKind);
+
+/// A directory as the translator holds it: its entries in slot order and
+/// the encoded table the drive stores for them.
+struct Dir {
+    entries: Vec<Entry>,
+    table: Vec<u8>,
+}
+
+impl Dir {
+    fn position(&self, name: &str) -> Option<usize> {
+        self.entries.iter().position(|(n, _, _)| n == name)
+    }
+
+    /// Re-encodes the edited entries into `table` and returns the
+    /// Write/Truncate requests that update the drive's copy, touching only
+    /// the 4 KiB blocks that changed (as a real file system updates only
+    /// the affected directory blocks; rewriting the whole table would
+    /// generate artificial version churn on the drive).
+    fn update_requests(&mut self, dir: Handle) -> Vec<Request> {
+        const BS: usize = 4096;
+        let old = std::mem::replace(&mut self.table, encode_dir(&self.entries));
+        let new = &self.table;
+        let mut reqs = Vec::new();
+        for lo in (0..new.len()).step_by(BS) {
+            let hi = (lo + BS).min(new.len());
+            // A short last block is unchanged only if the old table ended
+            // at the same byte.
+            if old.get(lo..hi) == Some(&new[lo..hi]) && (hi - lo == BS || old.len() == hi) {
+                continue;
+            }
+            reqs.push(Request::Write {
+                oid: ObjectId(dir),
+                offset: lo as u64,
+                data: new[lo..hi].to_vec(),
+            });
+        }
+        if old.len() > new.len() {
+            reqs.push(Request::Truncate {
+                oid: ObjectId(dir),
+                len: new.len() as u64,
+            });
+        }
+        reqs
+    }
+}
+
 #[derive(Default)]
 struct Caches {
     attr: HashMap<Handle, FileAttr>,
-    dir: HashMap<Handle, Vec<(String, Handle, FileKind)>>,
+    dir: HashMap<Handle, Dir>,
 }
 
 /// The S4 client / NFS translator.
@@ -219,13 +270,6 @@ impl<T: Transport> S4FileServer<T> {
         self.transport.call(&self.ctx, req)
     }
 
-    fn sync_if_configured(&self) -> FsResult<()> {
-        if self.config.sync_per_op {
-            self.call(&Request::Sync)?;
-        }
-        Ok(())
-    }
-
     /// Runs a mutating operation's drive requests, appending the NFSv2
     /// per-op Sync, as one batched RPC when configured (one network round
     /// trip) or as individual calls otherwise. Returns the sub-responses
@@ -256,56 +300,6 @@ impl<T: Transport> S4FileServer<T> {
             }
             out.truncate(n);
             Ok(out)
-        }
-    }
-
-    /// Builds the Write/Truncate requests that update a directory's entry
-    /// table from `old_entries` to `entries`, touching only the changed
-    /// 4 KiB blocks. The caller refreshes the caches once the requests
-    /// succeed.
-    fn dir_update_requests(
-        dir: Handle,
-        old_entries: &[(String, Handle, FileKind)],
-        entries: &[(String, Handle, FileKind)],
-    ) -> Vec<Request> {
-        const BS: usize = 4096;
-        let old_blob = encode_dir(old_entries);
-        let blob = encode_dir(entries);
-        let blocks = blob.len().div_ceil(BS).max(old_blob.len().div_ceil(BS));
-        let mut reqs = Vec::new();
-        for b in 0..blocks {
-            let lo = b * BS;
-            if lo >= blob.len() {
-                break; // covered by the truncate below
-            }
-            let hi = (lo + BS).min(blob.len());
-            let old_hi = (lo + BS).min(old_blob.len());
-            let unchanged = lo < old_blob.len()
-                && old_hi - lo == hi - lo
-                && old_blob[lo..old_hi] == blob[lo..hi];
-            if unchanged {
-                continue;
-            }
-            reqs.push(Request::Write {
-                oid: ObjectId(dir),
-                offset: lo as u64,
-                data: blob[lo..hi].to_vec(),
-            });
-        }
-        if old_blob.len() > blob.len() {
-            reqs.push(Request::Truncate {
-                oid: ObjectId(dir),
-                len: blob.len() as u64,
-            });
-        }
-        reqs
-    }
-
-    fn refresh_dir_caches(&self, dir: Handle, entries: &[(String, Handle, FileKind)]) {
-        let mut caches = self.caches.lock();
-        caches.attr.remove(&dir);
-        if self.config.dir_cache {
-            caches.dir.insert(dir, entries.to_vec());
         }
     }
 
@@ -345,39 +339,92 @@ impl<T: Transport> S4FileServer<T> {
         }
     }
 
-    fn load_dir(&self, dir: Handle) -> FsResult<Vec<(String, Handle, FileKind)>> {
-        if self.config.dir_cache {
-            if let Some(hit) = self.caches.lock().dir.get(&dir) {
-                return Ok(hit.clone());
-            }
-        }
+    /// Reads `dir` from the drive, bypassing the directory cache.
+    fn fetch_dir(&self, dir: Handle) -> FsResult<Dir> {
         let attr = self.getattr_cached(dir)?;
         if attr.kind != FileKind::Dir {
             return Err(FsError::NotADirectory);
         }
-        let blob = self.read_object(dir, 0, attr.size, None)?;
-        let entries = decode_dir(&blob)?;
-        if self.config.dir_cache {
-            self.caches.lock().dir.insert(dir, entries.clone());
-        }
-        Ok(entries)
+        let table = self.read_object(dir, 0, attr.size, None)?;
+        Ok(Dir {
+            entries: decode_dir(&table)?,
+            table,
+        })
     }
 
-    /// Writes a directory's entry table back, touching only the 4 KiB
-    /// blocks that actually changed (as a real file system updates only
-    /// the affected directory blocks; rewriting the whole table would
-    /// generate artificial version churn on the drive).
-    fn store_dir(
-        &self,
-        dir: Handle,
-        old_entries: &[(String, Handle, FileKind)],
-        entries: &[(String, Handle, FileKind)],
-    ) -> FsResult<()> {
-        for req in Self::dir_update_requests(dir, old_entries, entries) {
-            self.call(&req)?;
+    /// Runs `f` over `dir`'s entries without copying them: under the
+    /// cache lock on a hit, or over a fresh read (then cached) on a miss.
+    fn with_entries<R>(&self, dir: Handle, f: impl FnOnce(&[Entry]) -> R) -> FsResult<R> {
+        if self.config.dir_cache {
+            if let Some(hit) = self.caches.lock().dir.get(&dir) {
+                return Ok(f(&hit.entries));
+            }
         }
-        self.refresh_dir_caches(dir, entries);
-        Ok(())
+        let d = self.fetch_dir(dir)?;
+        let r = f(&d.entries);
+        self.cache_dir(dir, d);
+        Ok(r)
+    }
+
+    fn cache_dir(&self, dir: Handle, d: Dir) {
+        if self.config.dir_cache {
+            self.caches.lock().dir.insert(dir, d);
+        }
+    }
+
+    /// Takes `dir` out of the directory cache, or reads it from the drive
+    /// on a miss. Until the mutation hands it back the cache holds no
+    /// copy of it.
+    fn take_dir(&self, dir: Handle) -> FsResult<Dir> {
+        if self.config.dir_cache {
+            if let Some(d) = self.caches.lock().dir.remove(&dir) {
+                return Ok(d);
+            }
+        }
+        self.fetch_dir(dir)
+    }
+
+    /// The one path of every directory mutation. Takes `dirs` out of the
+    /// cache (or reads them on a miss) and lets `edit` check the op and
+    /// edit their entries in place, returning the op's own requests; a
+    /// refusing `edit` must leave the entries untouched. The changed
+    /// directory blocks and the per-op Sync then go out with those
+    /// requests, and the directories go back only if every request
+    /// succeeded. A single-drive batch keeps the sub-requests before the
+    /// one that fails, so after a failure the drive's table may be old,
+    /// new or between: the cache drops the directories and their
+    /// attributes instead.
+    fn mutate_dirs<R>(
+        &self,
+        dirs: &[Handle],
+        edit: impl FnOnce(&mut [Dir]) -> FsResult<(Vec<Request>, R)>,
+    ) -> FsResult<R> {
+        let put_back = |taken: Vec<Dir>| {
+            for (&dir, d) in dirs.iter().zip(taken) {
+                self.cache_dir(dir, d);
+            }
+        };
+        let mut taken: Vec<Dir> = dirs
+            .iter()
+            .map(|&d| self.take_dir(d))
+            .collect::<FsResult<_>>()?;
+        let (mut reqs, out) = match edit(&mut taken) {
+            Ok(edited) => edited,
+            Err(e) => {
+                put_back(taken);
+                return Err(e);
+            }
+        };
+        for (&dir, d) in dirs.iter().zip(&mut taken) {
+            reqs.extend(d.update_requests(dir));
+        }
+        let sent = self.run_mutation(reqs);
+        for &dir in dirs {
+            self.invalidate(dir);
+        }
+        sent?;
+        put_back(taken);
+        Ok(out)
     }
 
     fn getattr_cached(&self, h: Handle) -> FsResult<FileAttr> {
@@ -397,28 +444,30 @@ impl<T: Transport> S4FileServer<T> {
         if name.is_empty() || name.len() > 255 || name.contains('/') {
             return Err(FsError::Invalid("file name"));
         }
-        let old_entries = self.load_dir(dir)?;
-        if old_entries.iter().any(|(n, _, _)| n == name) {
-            return Err(FsError::Exists);
-        }
-        // Two round trips: Create (the directory entry must embed the
-        // drive-assigned id), then SetAttr + directory-block updates +
-        // the single per-op Sync as one batch.
-        let rs = self.run_requests(vec![Request::Create], false)?;
-        let oid = match rs.first() {
-            Some(Response::Created(oid)) => *oid,
-            other => return Err(FsError::Storage(format!("bad Create response {other:?}"))),
-        };
-        let mut entries = old_entries.clone();
-        entries.push((name.to_string(), oid.0, kind));
-        let mut reqs = vec![Request::SetAttr {
-            oid,
-            attrs: encode_fattr(kind, mode),
-        }];
-        reqs.extend(Self::dir_update_requests(dir, &old_entries, &entries));
-        self.run_mutation(reqs)?;
-        self.refresh_dir_caches(dir, &entries);
-        Ok(oid.0)
+        self.mutate_dirs(&[dir], |d| {
+            if d[0].position(name).is_some() {
+                return Err(FsError::Exists);
+            }
+            // Two round trips: Create (the directory entry must embed the
+            // drive-assigned id), then SetAttr + directory-block updates +
+            // the single per-op Sync as one batch.
+            let oid = match self.run_requests(vec![Request::Create], false)?.first() {
+                Some(Response::Created(oid)) => *oid,
+                other => return Err(FsError::Storage(format!("bad Create response {other:?}"))),
+            };
+            d[0].entries.push((name.to_string(), oid.0, kind));
+            let attrs = encode_fattr(kind, mode);
+            Ok((vec![Request::SetAttr { oid, attrs }], oid.0))
+        })
+    }
+
+    /// Swap-removes slot `idx` of `d` and returns the request deleting its
+    /// object. The vacated slot is refilled from the end, so only the
+    /// affected directory blocks change (FFS-style slot reuse).
+    fn unlink(&self, d: &mut Dir, idx: usize) -> Request {
+        let (_, h, _) = d.entries.swap_remove(idx);
+        self.invalidate(h);
+        Request::Delete { oid: ObjectId(h) }
     }
 
     fn invalidate(&self, h: Handle) {
@@ -477,11 +526,13 @@ impl<T: Transport> FileServer for S4FileServer<T> {
     }
 
     fn lookup(&self, dir: Handle, name: &str) -> FsResult<Handle> {
-        self.load_dir(dir)?
-            .into_iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, h, _)| h)
-            .ok_or(FsError::NotFound)
+        self.with_entries(dir, |entries| {
+            entries
+                .iter()
+                .find(|(n, _, _)| n == name)
+                .map(|(_, h, _)| *h)
+        })?
+        .ok_or(FsError::NotFound)
     }
 
     fn create(&self, dir: Handle, name: &str) -> FsResult<Handle> {
@@ -540,47 +591,29 @@ impl<T: Transport> FileServer for S4FileServer<T> {
     }
 
     fn remove(&self, dir: Handle, name: &str) -> FsResult<()> {
-        let old_entries = self.load_dir(dir)?;
-        let idx = old_entries
-            .iter()
-            .position(|(n, _, _)| n == name)
-            .ok_or(FsError::NotFound)?;
-        if old_entries[idx].2 == FileKind::Dir {
-            return Err(FsError::Invalid("is a directory"));
-        }
-        let mut entries = old_entries.clone();
-        // Swap-remove: the vacated slot is refilled from the end, so only
-        // the affected directory blocks change (FFS-style slot reuse).
-        let (_, h, _) = entries.swap_remove(idx);
-        let mut reqs = vec![Request::Delete { oid: ObjectId(h) }];
-        reqs.extend(Self::dir_update_requests(dir, &old_entries, &entries));
-        self.run_mutation(reqs)?;
-        self.invalidate(h);
-        self.refresh_dir_caches(dir, &entries);
-        Ok(())
+        self.mutate_dirs(&[dir], |d| {
+            let d = &mut d[0];
+            let idx = d.position(name).ok_or(FsError::NotFound)?;
+            if d.entries[idx].2 == FileKind::Dir {
+                return Err(FsError::Invalid("is a directory"));
+            }
+            Ok((vec![self.unlink(d, idx)], ()))
+        })
     }
 
     fn rmdir(&self, dir: Handle, name: &str) -> FsResult<()> {
-        let old_entries = self.load_dir(dir)?;
-        let idx = old_entries
-            .iter()
-            .position(|(n, _, _)| n == name)
-            .ok_or(FsError::NotFound)?;
-        if old_entries[idx].2 != FileKind::Dir {
-            return Err(FsError::NotADirectory);
-        }
-        let h = old_entries[idx].1;
-        if !self.load_dir(h)?.is_empty() {
-            return Err(FsError::NotEmpty);
-        }
-        let mut entries = old_entries.clone();
-        entries.swap_remove(idx);
-        let mut reqs = vec![Request::Delete { oid: ObjectId(h) }];
-        reqs.extend(Self::dir_update_requests(dir, &old_entries, &entries));
-        self.run_mutation(reqs)?;
-        self.invalidate(h);
-        self.refresh_dir_caches(dir, &entries);
-        Ok(())
+        self.mutate_dirs(&[dir], |d| {
+            let d = &mut d[0];
+            let idx = d.position(name).ok_or(FsError::NotFound)?;
+            let (_, h, kind) = &d.entries[idx];
+            if *kind != FileKind::Dir {
+                return Err(FsError::NotADirectory);
+            }
+            if !self.with_entries(*h, <[Entry]>::is_empty)? {
+                return Err(FsError::NotEmpty);
+            }
+            Ok((vec![self.unlink(d, idx)], ()))
+        })
     }
 
     fn rename(
@@ -590,51 +623,39 @@ impl<T: Transport> FileServer for S4FileServer<T> {
         to_dir: Handle,
         to_name: &str,
     ) -> FsResult<()> {
+        // NFS rename overwrites an existing target.
         if from_dir == to_dir {
-            let old_entries = self.load_dir(from_dir)?;
-            let mut entries = old_entries.clone();
-            let idx = entries
-                .iter()
-                .position(|(n, _, _)| n == from_name)
-                .ok_or(FsError::NotFound)?;
-            // NFS rename overwrites an existing target.
-            if let Some(tidx) = entries.iter().position(|(n, _, _)| n == to_name) {
-                if tidx != idx {
-                    let (_, th, _) = entries.swap_remove(tidx);
-                    self.call(&Request::Delete { oid: ObjectId(th) })?;
-                    self.invalidate(th);
+            return self.mutate_dirs(&[from_dir], |d| {
+                let d = &mut d[0];
+                let mut idx = d.position(from_name).ok_or(FsError::NotFound)?;
+                let mut reqs = Vec::new();
+                if let Some(t) = d.position(to_name).filter(|&t| t != idx) {
+                    reqs.push(self.unlink(d, t));
+                    if idx == d.entries.len() {
+                        idx = t; // the swap-remove moved the source into `t`
+                    }
                 }
-            }
-            let idx = entries
-                .iter()
-                .position(|(n, _, _)| n == from_name)
-                .ok_or(FsError::NotFound)?;
-            entries[idx].0 = to_name.to_string();
-            self.store_dir(from_dir, &old_entries, &entries)?;
-        } else {
-            let old_from = self.load_dir(from_dir)?;
-            let mut from_entries = old_from.clone();
-            let idx = from_entries
-                .iter()
-                .position(|(n, _, _)| n == from_name)
-                .ok_or(FsError::NotFound)?;
-            let (_, h, kind) = from_entries.swap_remove(idx);
-            let old_to = self.load_dir(to_dir)?;
-            let mut to_entries = old_to.clone();
-            if let Some(tidx) = to_entries.iter().position(|(n, _, _)| n == to_name) {
-                let (_, th, _) = to_entries.swap_remove(tidx);
-                self.call(&Request::Delete { oid: ObjectId(th) })?;
-                self.invalidate(th);
-            }
-            to_entries.push((to_name.to_string(), h, kind));
-            self.store_dir(from_dir, &old_from, &from_entries)?;
-            self.store_dir(to_dir, &old_to, &to_entries)?;
+                d.entries[idx].0 = to_name.to_string();
+                Ok((reqs, ()))
+            });
         }
-        self.sync_if_configured()
+        self.mutate_dirs(&[from_dir, to_dir], |d| {
+            let [from, to] = d else {
+                unreachable!("two directories taken")
+            };
+            let idx = from.position(from_name).ok_or(FsError::NotFound)?;
+            let mut reqs = Vec::new();
+            if let Some(t) = to.position(to_name) {
+                reqs.push(self.unlink(to, t));
+            }
+            let (_, h, kind) = from.entries.swap_remove(idx);
+            to.entries.push((to_name.to_string(), h, kind));
+            Ok((reqs, ()))
+        })
     }
 
-    fn readdir(&self, dir: Handle) -> FsResult<Vec<(String, Handle, FileKind)>> {
-        self.load_dir(dir)
+    fn readdir(&self, dir: Handle) -> FsResult<Vec<Entry>> {
+        self.with_entries(dir, <[Entry]>::to_vec)
     }
 
     fn now(&self) -> SimTime {

@@ -11,14 +11,11 @@
 //!   version of the object can be completely restored by requesting that
 //!   the drive copy forward the old version, thus making a new version"
 //!   (§3.3).
-//! * [`damage_report`] — intrusion diagnosis over the audit log: every
-//!   object a given client (or user) touched in a time interval, split
-//!   into reads and modifications, with crude taint propagation (objects
-//!   written shortly after a tainted read).
+//!
+//! Intrusion diagnosis over the audit log is drive-level work and lives in
+//! `s4_detect` (`damage_report`, `object_timeline`, `tree_at`).
 
-use s4_clock::{SimDuration, SimTime};
-use s4_core::{ClientId, RequestContext, S4Drive};
-use s4_simdisk::BlockDev;
+use s4_clock::SimTime;
 
 use crate::s4fs::S4FileServer;
 use crate::server::{FileKind, FsResult, Handle};
@@ -85,45 +82,18 @@ pub fn restore_file<T: Transport>(
     Ok(h)
 }
 
-/// The outcome of an audit-log damage analysis.
-///
-/// Re-exported from [`s4_detect`], where the analysis now lives.
-pub use s4_detect::DamageReport;
-
-/// Builds a [`DamageReport`] for `suspect` over `[from, to]` from the
-/// drive's audit log (requires the admin context).
-#[deprecated(
-    since = "0.1.0",
-    note = "moved to `s4_detect::forensics::damage_report` (diagnosis is drive-level work and \
-            does not need a file-server mount); this wrapper delegates"
-)]
-pub fn damage_report<D: BlockDev>(
-    drive: &S4Drive<D>,
-    admin: &RequestContext,
-    suspect: ClientId,
-    from: SimTime,
-    to: SimTime,
-    taint_window: SimDuration,
-) -> Result<DamageReport, s4_core::S4Error> {
-    s4_detect::damage_report(drive, admin, suspect, from, to, taint_window)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::s4fs::S4FsConfig;
     use crate::server::FileServer;
     use crate::transport::LoopbackTransport;
-    use s4_clock::{NetworkModel, SimClock};
-    use s4_core::{DriveConfig, UserId};
-    use s4_simdisk::MemDisk;
+    use s4_clock::{NetworkModel, SimClock, SimDuration};
+    use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
+    use s4_simdisk::{BlockDev, MemDisk};
     use std::sync::Arc;
 
-    fn setup() -> (
-        S4FileServer<LoopbackTransport<MemDisk>>,
-        Arc<S4Drive<MemDisk>>,
-        RequestContext,
-    ) {
+    fn setup() -> (S4FileServer<LoopbackTransport<MemDisk>>, Arc<S4Drive<MemDisk>>) {
         let clock = SimClock::new();
         clock.advance(SimDuration::from_secs(1));
         let drive = Arc::new(
@@ -132,8 +102,7 @@ mod tests {
         let t = LoopbackTransport::new(drive.clone(), NetworkModel::free());
         let ctx = RequestContext::user(UserId(1), ClientId(1));
         let fs = S4FileServer::mount(t, ctx, "export", S4FsConfig::default()).unwrap();
-        let admin = RequestContext::admin(ClientId(9), 42);
-        (fs, drive, admin)
+        (fs, drive)
     }
 
     fn tick<D: BlockDev>(d: &S4Drive<D>) {
@@ -142,7 +111,7 @@ mod tests {
 
     #[test]
     fn ls_and_cat_travel_in_time() {
-        let (fs, drive, _) = setup();
+        let (fs, drive) = setup();
         let root = fs.root();
         let f = fs.create(root, "notes.txt").unwrap();
         fs.write(f, 0, b"first draft").unwrap();
@@ -161,7 +130,7 @@ mod tests {
 
     #[test]
     fn restore_recovers_deleted_file() {
-        let (fs, drive, _) = setup();
+        let (fs, drive) = setup();
         let root = fs.root();
         let f = fs.create(root, "precious.dat").unwrap();
         fs.write(f, 0, b"do not lose me").unwrap();
@@ -173,43 +142,5 @@ mod tests {
         let restored = restore_file(&fs, "precious.dat", before).unwrap();
         let attr = fs.getattr(restored).unwrap();
         assert_eq!(fs.read(restored, 0, attr.size).unwrap(), b"do not lose me");
-    }
-
-    #[test]
-    #[allow(deprecated)] // exercises the compatibility wrapper on purpose
-    fn damage_report_finds_intruder_activity() {
-        let (fs, drive, admin) = setup();
-        let root = fs.root();
-        let secret = fs.create(root, "secret.key").unwrap();
-        fs.write(secret, 0, b"hunter2").unwrap();
-
-        // The "intruder" (client 66) reads the secret and plants a file.
-        let evil_ctx = RequestContext::user(UserId(66), ClientId(66));
-        let t = LoopbackTransport::new(drive.clone(), NetworkModel::free());
-        // Give the intruder its own tree so ACLs allow it.
-        let evil_fs = S4FileServer::mount(t, evil_ctx, "evil", S4FsConfig::default()).unwrap();
-        let eroot = evil_fs.root();
-        let from = drive.now();
-        let backdoor = evil_fs.create(eroot, "backdoor.sh").unwrap();
-        evil_fs
-            .write(backdoor, 0, b"#!/bin/sh\nnc -l 31337")
-            .unwrap();
-        let _peek = evil_fs.read(backdoor, 0, 10).unwrap();
-        let to = drive.now();
-
-        let report = damage_report(
-            &drive,
-            &admin,
-            ClientId(66),
-            from,
-            to,
-            SimDuration::from_secs(60),
-        )
-        .unwrap();
-        assert!(report.modified.contains(&backdoor));
-        assert!(report.read.contains(&backdoor));
-        assert!(report.request_count >= 3);
-        // The honest client's earlier write is not in the interval.
-        assert!(!report.modified.contains(&secret));
     }
 }

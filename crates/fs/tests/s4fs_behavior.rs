@@ -4,9 +4,11 @@
 use std::sync::Arc;
 
 use s4_clock::{NetworkModel, SimClock, SimDuration};
-use s4_core::{ClientId, DriveConfig, RequestContext, S4Drive, UserId};
-use s4_fs::{FileKind, FileServer, FsError, LoopbackTransport, S4FileServer, S4FsConfig};
-use s4_simdisk::MemDisk;
+use s4_core::{ClientId, DriveConfig, ObjectId, Request, RequestContext, S4Drive, UserId};
+use s4_fs::{
+    FileKind, FileServer, FsError, FsResult, Handle, LoopbackTransport, S4FileServer, S4FsConfig,
+};
+use s4_simdisk::{FaultPlan, FaultyDisk, MemDisk, RequestClassMask};
 
 type Fs = S4FileServer<LoopbackTransport<MemDisk>>;
 
@@ -265,4 +267,115 @@ fn sync_per_op_costs_more_than_batched() {
         synced > batched,
         "sync-per-op {synced:?} must cost more than batched {batched:?}"
     );
+}
+
+type FaultyFs = S4FileServer<LoopbackTransport<FaultyDisk<MemDisk>>>;
+
+fn mount_faulty(drive: &Arc<S4Drive<FaultyDisk<MemDisk>>>) -> FaultyFs {
+    S4FileServer::mount(
+        LoopbackTransport::new(drive.clone(), NetworkModel::free()),
+        RequestContext::user(UserId(1), ClientId(1)),
+        "t",
+        S4FsConfig::default(),
+    )
+    .unwrap()
+}
+
+/// Formats a drive over a disk that fails per `plan`, mounts the
+/// translator, and warms its caches over a root directory of 40 files.
+fn faulty_setup(plan: FaultPlan) -> (FaultyFs, Arc<S4Drive<FaultyDisk<MemDisk>>>) {
+    let clock = SimClock::new();
+    clock.advance(SimDuration::from_secs(1));
+    let disk = FaultyDisk::new(MemDisk::with_capacity_bytes(64 << 20), plan);
+    let drive = Arc::new(S4Drive::format(disk, DriveConfig::small_test(), clock).unwrap());
+    let fs = mount_faulty(&drive);
+    for i in 0..40 {
+        fs.create(fs.root(), &format!("file-{i:02}")).unwrap();
+    }
+    fs.readdir(fs.root()).unwrap();
+    fs.getattr(fs.root()).unwrap();
+    (fs, drive)
+}
+
+/// Runs `op` with the first disk write or flush of its Sync failing,
+/// then checks the translator against a fresh mount of the same drive.
+/// A single-drive batch keeps the sub-requests before the one that fails,
+/// so the directory Write lands (`landed` confirms it in the fresh
+/// listing's names); the translator must not keep serving its pre-op
+/// listing or attributes.
+fn check_failed_mutation(
+    what: &str,
+    op: impl Fn(&FaultyFs, Handle) -> FsResult<()>,
+    landed: impl Fn(&[&str]) -> bool,
+) {
+    // Count the disk writes and flushes before the op, then replay the
+    // same history with the op's first one failing.
+    let sync_class = RequestClassMask::WRITES | RequestClassMask::SYNCS;
+    let (_, drive) = faulty_setup(FaultPlan::count_only(sync_class));
+    let before = drive.log().device().requests_seen();
+    let (fs, drive) = faulty_setup(FaultPlan::intermittent_io(before, u64::MAX, sync_class));
+    let root = fs.root();
+    assert!(
+        matches!(op(&fs, root), Err(FsError::Storage(_))),
+        "{what}: the op's Sync must fail"
+    );
+
+    let fresh = mount_faulty(&drive);
+    let listing = fresh.readdir(root).unwrap();
+    let names: Vec<&str> = listing.iter().map(|(n, _, _)| n.as_str()).collect();
+    assert!(
+        landed(&names),
+        "{what}: the directory Write must have landed"
+    );
+    assert_eq!(
+        fs.readdir(root).unwrap(),
+        listing,
+        "{what}: stale cached listing"
+    );
+    assert_eq!(
+        fs.getattr(root).unwrap(),
+        fresh.getattr(root).unwrap(),
+        "{what}: stale cached attributes"
+    );
+}
+
+#[test]
+fn failed_directory_mutation_drops_the_cached_directory() {
+    check_failed_mutation(
+        "create",
+        |fs, root| fs.create(root, "late").map(drop),
+        |names| names.contains(&"late"),
+    );
+    check_failed_mutation(
+        "remove",
+        |fs, root| fs.remove(root, "file-07"),
+        |names| !names.contains(&"file-07"),
+    );
+}
+
+#[test]
+fn mutation_failing_before_the_table_write_keeps_the_old_listing() {
+    let (fs, drive, _c) = setup();
+    let root = fs.root();
+    let f = fs.create(root, "gone").unwrap();
+    fs.create(root, "kept").unwrap();
+    fs.readdir(root).unwrap();
+    // Another client deletes the object behind the translator's back, so
+    // the remove's batch fails at its Delete, before the directory Write.
+    let other = RequestContext::user(UserId(1), ClientId(2));
+    drive
+        .dispatch(&other, &Request::Delete { oid: ObjectId(f) })
+        .unwrap();
+    assert!(fs.remove(root, "gone").is_err());
+
+    let fresh = S4FileServer::mount(
+        LoopbackTransport::new(drive, NetworkModel::free()),
+        other,
+        "t",
+        S4FsConfig::default(),
+    )
+    .unwrap();
+    let listing = fresh.readdir(root).unwrap();
+    assert_eq!(listing.len(), 2, "the drive's table still lists both");
+    assert_eq!(fs.readdir(root).unwrap(), listing);
 }

@@ -54,6 +54,10 @@
 # 16. the repo benchmark's self-test (perfbench/): every workload at
 #    smoke size must build against the current crates, emit every
 #    metric, and catch each of its planted faults
+# 17. the online-detector overhead bench at smoke scale: PostMark through
+#    the NFS translator with and without the standard monitor (BENCH_JSON
+#    line saved as target/BENCH_obs.json; committed full-scale run in
+#    BENCH_obs.json)
 #
 # The exhaustive campaigns (every crash point of a 500-op workload,
 # every second-crash point inside recovery, and every 2PC crash point
@@ -149,5 +153,12 @@ grep '^BENCH_JSON ' target/fig_trace.out | sed 's/^BENCH_JSON //' > target/BENCH
 
 echo "== perfbench self-test (benchmark builds and its checks catch planted faults)"
 python3 perfbench/run.py --selftest
+
+echo "== detector_overhead bench (smoke scale, measures the BENCH_obs line)"
+S4_BENCH_SCALE="${S4_BENCH_SCALE:-0.25}" cargo bench -p s4-bench --bench detector_overhead \
+  | tee target/detector_overhead.out
+grep -q '^BENCH_JSON ' target/detector_overhead.out \
+  || { echo "verify: detector_overhead emitted no BENCH_JSON line" >&2; exit 1; }
+grep '^BENCH_JSON ' target/detector_overhead.out | sed 's/^BENCH_JSON //' > target/BENCH_obs.json
 
 echo "verify: OK"
